@@ -330,25 +330,8 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       // L1, then the persistent store (promoting a hit), else unknown.
       const CacheKey key{chk.ref.lo, chk.ref.hi};
       std::vector<std::uint8_t> published;
-      bool found = false;
-      if (auto hit = cache_.get(key)) {
-        published = std::move(*hit);
-        found = true;
-      } else if (store::ArtifactTier* tier = store_tier(); tier != nullptr) {
-        try {
-          store::GetResult r = tier->get(store::Key{key.lo, key.hi});
-          if (r.status == store::GetStatus::kHit) {
-            published = std::move(r.payload);
-            cache_.put(key, published);
-            found = true;
-          } else if (r.status == store::GetStatus::kCorrupt) {
-            metrics_.revalidation_failures.fetch_add(
-                1, std::memory_order_relaxed);
-          }
-        } catch (const std::exception&) {
-        }
-      }
-      if (!found) {
+      if (lookup_artifact(key, store_tier(), published) ==
+          LookupSource::kMiss) {
         metrics_.signature_unknown_refs.fetch_add(1,
                                                   std::memory_order_relaxed);
         send_error(conn, frame.seq, ErrorCode::kUnknownSignature,
@@ -511,8 +494,7 @@ void Server::run_batch(std::vector<Request> batch) {
                                       std::memory_order_relaxed);
   try {
     // One coder per batch: the whole group shares its table and K.
-    const codec::NineCoded coder =
-        batch.front().spec.make_coder(config_.codec_impl);
+    const codec::NineCoded coder = batch.front().spec.make_coder();
     for (const Request& req : batch) {
       // Shed before compute: a request that expired while queued gets its
       // typed reply now instead of a result nobody is waiting for.
@@ -553,33 +535,11 @@ void Server::process_request(const codec::NineCoded& coder,
   try {
     const CacheKey key =
         cache_key(req.type, req.spec, req.payload.data(), req.payload.size());
-    const store::Key skey{key.lo, key.hi};
     std::vector<std::uint8_t> out;
-    bool resolved = false;
     store::ArtifactTier* tier = store_tier();
-    if (auto hit = cache_.get(key)) {
-      metrics_.l1_hits.fetch_add(1, std::memory_order_relaxed);
-      out = std::move(*hit);
-      resolved = true;
-    } else if (tier != nullptr) {
-      // L2: the persistent store. Any failure here -- corrupt record, I/O
-      // error -- degrades to a miss; the request still computes.
-      try {
-        store::GetResult r = tier->get(skey);
-        if (r.status == store::GetStatus::kHit) {
-          metrics_.l2_hits.fetch_add(1, std::memory_order_relaxed);
-          out = std::move(r.payload);
-          cache_.put(key, out);  // promote to L1
-          resolved = true;
-        } else if (r.status == store::GetStatus::kCorrupt) {
-          metrics_.revalidation_failures.fetch_add(1,
-                                                   std::memory_order_relaxed);
-        }
-      } catch (const std::exception&) {
-      }
-    }
-    if (!resolved) {
-      metrics_.misses.fetch_add(1, std::memory_order_relaxed);
+    const LookupSource source = lookup_artifact(key, tier, out);
+    count_lookup(source);
+    if (source == LookupSource::kMiss) {
       if (req.type == FrameType::kEncodeRequest) {
         const EncodeRequest er = parse_encode_request(req.payload);
         out = trits_payload(coder.encode(er.tests.flatten()));
@@ -600,7 +560,8 @@ void Server::process_request(const codec::NineCoded& coder,
             bits::TestSet::unflatten(outcome.data, dr.patterns, dr.width));
       }
       cache_.put(key, out);
-      if (tier != nullptr) store_write_through(skey, out);
+      if (tier != nullptr)
+        store_write_through(store::Key{key.lo, key.hi}, out);
     }
     // Shed before reply-write: computing may have outlived the deadline
     // (the artifact still landed in the cache for the retry to hit).
@@ -642,31 +603,11 @@ void Server::process_tune(const Request& req) {
     // artifact -- in L1, in the store across restarts, everywhere.
     const CacheKey key =
         cache_key(req.type, req.spec, req.payload.data(), req.payload.size());
-    const store::Key skey{key.lo, key.hi};
     std::vector<std::uint8_t> out;
-    bool resolved = false;
     store::ArtifactTier* tier = store_tier();
-    if (auto hit = cache_.get(key)) {
-      metrics_.l1_hits.fetch_add(1, std::memory_order_relaxed);
-      out = std::move(*hit);
-      resolved = true;
-    } else if (tier != nullptr) {
-      try {
-        store::GetResult r = tier->get(skey);
-        if (r.status == store::GetStatus::kHit) {
-          metrics_.l2_hits.fetch_add(1, std::memory_order_relaxed);
-          out = std::move(r.payload);
-          cache_.put(key, out);
-          resolved = true;
-        } else if (r.status == store::GetStatus::kCorrupt) {
-          metrics_.revalidation_failures.fetch_add(1,
-                                                   std::memory_order_relaxed);
-        }
-      } catch (const std::exception&) {
-      }
-    }
-    if (!resolved) {
-      metrics_.misses.fetch_add(1, std::memory_order_relaxed);
+    const LookupSource source = lookup_artifact(key, tier, out);
+    count_lookup(source);
+    if (source == LookupSource::kMiss) {
       metrics_.tune_searches.fetch_add(1, std::memory_order_relaxed);
       const TuneRequest tr = parse_tune_request(req.payload);
       tune::TuneConfig cfg;
@@ -676,7 +617,6 @@ void Server::process_tune(const Request& req) {
       cfg.weights =
           tune::TuneWeights{tr.weight_cr, tr.weight_tat, tr.weight_gates,
                             tr.p};
-      cfg.impl = config_.codec_impl;
       // Serial fitness evaluation: this code already runs on a pool
       // worker, and nesting a blocking parallel_map onto the same pool
       // would deadlock a small pool (the task would wait on subtasks
@@ -695,7 +635,8 @@ void Server::process_tune(const Request& req) {
       reply.invalid_genomes = result.invalid_genomes;
       out = to_payload(reply);
       cache_.put(key, out);
-      if (tier != nullptr) store_write_through(skey, out);
+      if (tier != nullptr)
+        store_write_through(store::Key{key.lo, key.hi}, out);
     }
     if (req.deadline.expired()) {
       metrics_.deadline_shed_write.fetch_add(1, std::memory_order_relaxed);
@@ -768,6 +709,42 @@ store::ArtifactTier* Server::store_tier() {
     store_resume_at_.store(0, std::memory_order_relaxed);
   }
   return tier_;
+}
+
+Server::LookupSource Server::lookup_artifact(
+    const CacheKey& key, store::ArtifactTier* tier,
+    std::vector<std::uint8_t>& out) {
+  if (auto hit = cache_.get(key)) {
+    out = std::move(*hit);
+    return LookupSource::kL1;
+  }
+  if (tier == nullptr) return LookupSource::kMiss;
+  try {
+    store::GetResult r = tier->get(store::Key{key.lo, key.hi});
+    if (r.status == store::GetStatus::kHit) {
+      out = std::move(r.payload);
+      cache_.put(key, out);  // promote to L1
+      return LookupSource::kL2;
+    }
+    if (r.status == store::GetStatus::kCorrupt)
+      metrics_.revalidation_failures.fetch_add(1, std::memory_order_relaxed);
+  } catch (const std::exception&) {
+  }
+  return LookupSource::kMiss;
+}
+
+void Server::count_lookup(LookupSource source) {
+  switch (source) {
+    case LookupSource::kL1:
+      metrics_.l1_hits.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case LookupSource::kL2:
+      metrics_.l2_hits.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case LookupSource::kMiss:
+      metrics_.misses.fetch_add(1, std::memory_order_relaxed);
+      break;
+  }
 }
 
 void Server::store_write_through(const store::Key& key,

@@ -52,10 +52,6 @@
 namespace nc::serve {
 
 struct ServerConfig {
-  /// 9C hot-path implementation for every batch coder. Byte-identical
-  /// output across choices, so cached/stored artifacts remain valid when
-  /// the server restarts under a different impl.
-  codec::CodecImpl codec_impl = codec::CodecImpl::kAuto;
   std::size_t worker_threads = 0;   // 0 = ThreadPool::hardware_threads()
   std::size_t queue_capacity = 64;  // admission bound on queued requests
   std::uint32_t inflight_cap = 8;   // per-client outstanding requests
@@ -207,6 +203,16 @@ class Server {
   /// The L2 tier to use right now: null when no store is configured or the
   /// store is benched (cooling down after a failed write-through).
   store::ArtifactTier* store_tier();
+  /// Which tier answered an artifact lookup.
+  enum class LookupSource { kMiss, kL1, kL2 };
+  /// The read side of the artifact ladder: L1, then `tier` (may be null),
+  /// promoting an L2 hit into L1. A corrupt store record counts a
+  /// revalidation failure and, like any store error, reads as a miss.
+  /// Fills `out` on a hit. Hit/miss counters are left to the caller.
+  LookupSource lookup_artifact(const CacheKey& key, store::ArtifactTier* tier,
+                               std::vector<std::uint8_t>& out);
+  /// Counts an encode/decode/tune lookup in l1_hits, l2_hits or misses.
+  void count_lookup(LookupSource source);
   /// Write-through with bounded retries; failures bench the store for
   /// config_.store_cooldown instead of surfacing to the client.
   void store_write_through(const store::Key& key,

@@ -4,9 +4,9 @@
 // the word values of extracted planes at word-straddling offsets, the
 // popcount classification at every boundary shape a 64-trit word can take,
 // and one frozen TE byte dump for a calibrated ISCAS'89 cube set. The
-// differential fuzz suite proves scalar == bitplane; this file proves both
-// equal the *intended* bits, so a lockstep regression in the two impls
-// cannot hide.
+// differential fuzz suite proves production == scalar reference; this file
+// proves both equal the *intended* bits, so a lockstep regression in the
+// two paths cannot hide.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +16,7 @@
 #include "bits/bitplane.h"
 #include "bits/serialize.h"
 #include "codec/nine_coded.h"
+#include "codec/nine_coded_reference.h"
 #include "core/crc.h"
 #include "gen/cube_gen.h"
 #include "gen/profiles.h"
@@ -227,8 +228,8 @@ TEST(BitplaneReader, MirrorsTritReaderErrorOffsets) {
 // encoded at K=8 and serialized with save_trits. Pins |TD|, |TE|, the
 // CRC-32 of the serialized bytes and the first bytes of the dump, so any
 // change to cube generation, classification, codeword emission, payload
-// order or serialization shows up as a concrete byte diff -- under either
-// codec implementation, which must produce this identical artifact.
+// order or serialization shows up as a concrete byte diff -- from the
+// production coder and from the reference, which must both produce it.
 TEST(PinnedArtifact, S5378StreamBytesAreFrozen) {
   const gen::BenchmarkProfile* s5378 = nullptr;
   for (const auto& profile : gen::iscas89_profiles())
@@ -238,19 +239,23 @@ TEST(PinnedArtifact, S5378StreamBytesAreFrozen) {
   const TritVector flat = td.flatten();
   ASSERT_EQ(flat.size(), 23754u);
 
-  for (const auto impl :
-       {codec::CodecImpl::kScalar, codec::CodecImpl::kBitplane}) {
-    const codec::NineCoded coder(8, impl);
-    const TritVector te = coder.encode(flat);
-    EXPECT_EQ(te.size(), 10317u) << to_string(impl);
+  const codec::NineCoded coder(8);
+  for (const bool reference : {true, false}) {
+    const char* const path = reference ? "reference" : "production";
+    TritVector te;
+    if (reference)
+      codec::reference_analyze(coder, flat, &te);
+    else
+      coder.analyze(flat, &te);
+    EXPECT_EQ(te.size(), 10317u) << path;
 
     std::ostringstream dump;
     save_trits(dump, te);
     const std::string bytes = dump.str();
-    EXPECT_EQ(bytes.size(), 2593u) << to_string(impl);
+    EXPECT_EQ(bytes.size(), 2593u) << path;
     const std::uint32_t crc = core::crc32(
         reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
-    EXPECT_EQ(crc, 0x780EBDEFu) << to_string(impl) << " actual crc=0x"
+    EXPECT_EQ(crc, 0x780EBDEFu) << path << " actual crc=0x"
                                 << std::hex << crc;
     // "NCT1", the trit-stream kind byte, and the little-endian symbol
     // count 10317 = 0x284D.
@@ -258,7 +263,7 @@ TEST(PinnedArtifact, S5378StreamBytesAreFrozen) {
                                    0x00, 0x4D, 0x28, 0x00};
     for (std::size_t i = 0; i < sizeof head; ++i)
       EXPECT_EQ(static_cast<unsigned char>(bytes[i]), head[i])
-          << to_string(impl) << " byte " << i;
+          << path << " byte " << i;
   }
 }
 

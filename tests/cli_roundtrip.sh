@@ -61,6 +61,16 @@ expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --shards abc
 expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --shards 0
 expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --jobs -3
 expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --k 0
+# K past the one-byte container field is refused (nonzero exit, no file),
+# not truncated into a header that names another K.
+set +e
+"$NINEC" compress --in "$DIR/td.tests" --out "$DIR/k258.9c" --k 258 \
+  >/dev/null 2>"$DIR/err.txt"
+code=$?
+set -e
+if [ "$code" -eq 0 ] || [ -e "$DIR/k258.9c" ]; then
+  echo "compress --k 258 must fail without output (exit $code)"; exit 1
+fi
 expect_usage_error decompress --in "$DIR/te.9c" --out "$DIR/x.tests" --jobs 1x
 expect_usage_error session --bench "$DIR/c.bench" --tests "$DIR/atpg.tests" \
   --jobs 99999999999999999999999

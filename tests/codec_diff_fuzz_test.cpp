@@ -1,11 +1,12 @@
-// Differential fuzzing of the two 9C codec implementations.
+// Differential fuzzing of the production 9C coder against its reference.
 //
-// The scalar per-trit path is the executable specification; the
-// word-parallel bitplane path must be indistinguishable from it on every
-// input: identical TE streams (word-compare, so the packed representation
-// is canonical too), identical statistics, identical decode output, and --
-// on corrupted streams -- the identical typed DecodeError down to the
-// fault kind, TE offset and block index. Runs under the ASan/UBSan and
+// The per-trit reference (codec/nine_coded_reference.h) is the executable
+// specification; the word-parallel production path in NineCoded must be
+// indistinguishable from it on every input: identical TE streams
+// (word-compare, so the packed representation is canonical too), identical
+// statistics, identical decode output, and -- on corrupted streams -- the
+// identical typed DecodeError down to the fault kind, TE offset and block
+// index. Runs under the ASan/UBSan and
 // TSan legs of tools/check.sh, so any out-of-bounds word arithmetic at
 // half boundaries or odd tails surfaces here first.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "codec/nine_coded.h"
+#include "codec/nine_coded_reference.h"
 #include "codec/sharded.h"
 
 namespace nc::codec {
@@ -37,7 +39,7 @@ TritVector random_cube(std::mt19937& rng, std::size_t n, double x_density) {
 }
 
 /// Everything observable from one decode attempt. Differential equality of
-/// this struct is the whole contract: both impls succeed with the same
+/// this struct is the whole contract: both paths succeed with the same
 /// bits, or both fail with the same typed error.
 struct DecodeResult {
   std::optional<TritVector> data;
@@ -50,11 +52,15 @@ struct DecodeResult {
   bool operator==(const DecodeResult&) const = default;
 };
 
+/// Decodes with the production path, or with the reference when
+/// `reference` is set.
 DecodeResult try_decode(const NineCoded& coder, const TritVector& te,
-                        std::size_t original_bits) {
+                        std::size_t original_bits, bool reference) {
   DecodeResult r;
   try {
-    DecodeOutcome out = coder.decode_checked(te, original_bits);
+    DecodeOutcome out =
+        reference ? reference_decode_checked(coder, te, original_bits)
+                  : coder.decode_checked(te, original_bits);
     r.data = std::move(out.data);
     r.blocks = out.blocks;
     r.consumed = out.consumed;
@@ -66,28 +72,28 @@ DecodeResult try_decode(const NineCoded& coder, const TritVector& te,
   return r;
 }
 
-/// One full differential check: encode under both impls, compare streams
-/// and stats field by field, then decode each stream under both impls.
+/// One full differential check: encode with the reference and the
+/// production path, compare streams and stats field by field, then decode
+/// the stream with both.
 void expect_identical(std::size_t k, const TritVector& td,
                       const char* context) {
-  const NineCoded scalar(k, CodecImpl::kScalar);
-  const NineCoded bitplane(k, CodecImpl::kBitplane);
+  const NineCoded coder(k);
 
   TritVector te_s, te_b;
-  const NineCodedStats ss = scalar.analyze(td, &te_s);
-  const NineCodedStats sb = bitplane.analyze(td, &te_b);
+  const NineCodedStats ss = reference_analyze(coder, td, &te_s);
+  const NineCodedStats sb = coder.analyze(td, &te_b);
 
   ASSERT_TRUE(te_s == te_b) << context << " K=" << k << " n=" << td.size()
-                            << "\nscalar  =" << te_s.to_string()
-                            << "\nbitplane=" << te_b.to_string();
+                            << "\nreference =" << te_s.to_string()
+                            << "\nproduction=" << te_b.to_string();
   ASSERT_EQ(ss.encoded_bits, sb.encoded_bits) << context;
   ASSERT_EQ(ss.padded_bits, sb.padded_bits) << context;
   ASSERT_EQ(ss.filled_x, sb.filled_x) << context;
   ASSERT_EQ(ss.leftover_x, sb.leftover_x) << context;
   ASSERT_EQ(ss.counts, sb.counts) << context;
 
-  const DecodeResult ds = try_decode(scalar, te_s, td.size());
-  const DecodeResult db = try_decode(bitplane, te_s, td.size());
+  const DecodeResult ds = try_decode(coder, te_s, td.size(), true);
+  const DecodeResult db = try_decode(coder, te_s, td.size(), false);
   ASSERT_FALSE(ds.fault.has_value())
       << context << ": clean stream failed to decode";
   ASSERT_TRUE(ds == db) << context << " K=" << k
@@ -119,19 +125,23 @@ TEST(CodecDiffFuzz, RandomizedTrialsAcrossKAndDensity) {
   ASSERT_GE(trials, 500);
 }
 
-// Frequency-directed tables permute the codeword lengths; the two impls
+// Frequency-directed tables permute the codeword lengths; the two paths
 // must agree under every table they can be handed, not just the default.
 TEST(CodecDiffFuzz, FrequencyDirectedTablesAgree) {
   std::mt19937 rng(4242);
   for (int t = 0; t < 40; ++t) {
     const std::size_t k = 2 + 2 * (rng() % 24);
     const TritVector td = random_cube(rng, 500 + rng() % 500, 0.6);
-    const NineCoded tuned_s = NineCoded::tuned_for(td, k, CodecImpl::kScalar);
-    const NineCoded tuned_b =
-        NineCoded::tuned_for(td, k, CodecImpl::kBitplane);
+    // The two-pass tuning redone on the reference's own class counts.
+    const NineCoded tuned_s(
+        k, CodewordTable::frequency_directed(
+               reference_analyze(NineCoded(k), td).counts));
+    const NineCoded tuned_b = NineCoded::tuned_for(td, k);
     ASSERT_TRUE(tuned_s.table() == tuned_b.table())
         << "two-pass tuning diverged at K=" << k;
-    ASSERT_TRUE(tuned_s.encode(td) == tuned_b.encode(td));
+    TritVector te_s;
+    reference_analyze(tuned_s, td, &te_s);
+    ASSERT_TRUE(te_s == tuned_b.encode(td));
   }
 }
 
@@ -192,10 +202,10 @@ TEST(CodecDiffFuzz, CorruptedStreamsFailIdentically) {
   int faults_seen = 0;
   for (int t = 0; t < 200; ++t) {
     const std::size_t k = 2 + 2 * (rng() % 32);
-    const NineCoded scalar(k, CodecImpl::kScalar);
-    const NineCoded bitplane(k, CodecImpl::kBitplane);
+    const NineCoded coder(k);
     const TritVector td = random_cube(rng, 64 + rng() % 400, 0.5);
-    TritVector te = scalar.encode(td);
+    TritVector te;
+    reference_analyze(coder, td, &te);
     if (te.empty()) continue;
 
     switch (rng() % 4) {
@@ -216,16 +226,18 @@ TEST(CodecDiffFuzz, CorruptedStreamsFailIdentically) {
         break;
     }
 
-    const DecodeResult ds = try_decode(scalar, te, td.size());
-    const DecodeResult db = try_decode(bitplane, te, td.size());
+    const DecodeResult ds = try_decode(coder, te, td.size(), true);
+    const DecodeResult db = try_decode(coder, te, td.size(), false);
     ASSERT_TRUE(ds == db)
         << "decoders disagree on corrupted stream, K=" << k << " trial " << t
-        << (ds.fault ? std::string(" scalar fault ") + to_string(*ds.fault) +
-                           " @" + std::to_string(ds.fault_offset)
-                     : std::string(" scalar succeeded"))
-        << (db.fault ? std::string(" bitplane fault ") + to_string(*db.fault) +
-                           " @" + std::to_string(db.fault_offset)
-                     : std::string(" bitplane succeeded"));
+        << (ds.fault ? std::string(" reference fault ") +
+                           to_string(*ds.fault) + " @" +
+                           std::to_string(ds.fault_offset)
+                     : std::string(" reference succeeded"))
+        << (db.fault ? std::string(" production fault ") +
+                           to_string(*db.fault) + " @" +
+                           std::to_string(db.fault_offset)
+                     : std::string(" production succeeded"));
     if (ds.fault.has_value()) ++faults_seen;
   }
   // The mutation mix must actually exercise the error paths, not decay
@@ -235,10 +247,10 @@ TEST(CodecDiffFuzz, CorruptedStreamsFailIdentically) {
 
 // ------------------------------------------- sharded/parallel differential
 
-// The sharded container inherits whatever impl its coder carries; run the
-// full parallel encode/decode pipeline under both and require identical
-// containers. With jobs=4 this also puts the bitplane word paths under
-// TSan's eye via check.sh's tsan leg.
+// The sharded container takes any Codec; run the full parallel
+// encode/decode pipeline on the production coder and on the reference and
+// require identical containers. With jobs=4 this also puts the bitplane
+// word paths under TSan's eye via check.sh's tsan leg.
 TEST(CodecDiffFuzz, ShardedParallelPipelineAgrees) {
   std::mt19937 rng(777);
   TestSet td(40, 96);
@@ -248,13 +260,13 @@ TEST(CodecDiffFuzz, ShardedParallelPipelineAgrees) {
       td.set(p, c, r < 6 ? Trit::X : bits::trit_from_bit(r & 1u));
     }
   for (std::size_t k : {8u, 64u}) {
-    const NineCoded scalar(k, CodecImpl::kScalar);
-    const NineCoded bitplane(k, CodecImpl::kBitplane);
-    const TritVector c_s = encode_sharded(scalar, td, 8, 4);
-    const TritVector c_b = encode_sharded(bitplane, td, 8, 4);
+    const ReferenceCodec reference{NineCoded(k)};
+    const NineCoded production(k);
+    const TritVector c_s = encode_sharded(reference, td, 8, 4);
+    const TritVector c_b = encode_sharded(production, td, 8, 4);
     ASSERT_TRUE(c_s == c_b) << "sharded containers differ at K=" << k;
-    const TestSet back_s = decode_sharded(scalar, c_b, 4);
-    const TestSet back_b = decode_sharded(bitplane, c_b, 4);
+    const TestSet back_s = decode_sharded(reference, c_b, 4);
+    const TestSet back_b = decode_sharded(production, c_b, 4);
     ASSERT_EQ(back_s.pattern_count(), back_b.pattern_count());
     ASSERT_TRUE(back_s.flatten() == back_b.flatten());
     ASSERT_TRUE(td.flatten().covered_by(back_b.flatten()));

@@ -12,6 +12,13 @@ TEST(NineCoded, RejectsBadBlockSize) {
   EXPECT_THROW(NineCoded(7), std::invalid_argument);
   EXPECT_NO_THROW(NineCoded(2));
   EXPECT_NO_THROW(NineCoded(48));
+  // K is bounded by the one-byte container field, asymmetric splits too.
+  EXPECT_NO_THROW(NineCoded(254));
+  EXPECT_NO_THROW(NineCoded(kMaxBlockSize, CodewordTable::standard(), 100));
+  EXPECT_THROW(NineCoded(256), std::invalid_argument);
+  EXPECT_THROW(NineCoded(std::size_t{1} << 28), std::invalid_argument);
+  EXPECT_THROW(NineCoded(kMaxBlockSize + 2, CodewordTable::standard(), 100),
+               std::invalid_argument);
 }
 
 TEST(NineCoded, NameIncludesK) {

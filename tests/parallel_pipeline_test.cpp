@@ -7,12 +7,14 @@
 // repetition.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 #include <vector>
 
 #include "atpg/atpg.h"
 #include "circuit/samples.h"
 #include "codec/nine_coded.h"
+#include "codec/nine_coded_reference.h"
 #include "codec/sharded.h"
 #include "decomp/ate_session.h"
 #include "gen/cube_gen.h"
@@ -27,11 +29,20 @@ using bits::TritVector;
 
 const std::vector<std::size_t> kJobSweep = {2, 4, 8};
 
-/// The whole pipeline sweep runs under both codec implementations: the
-/// serial-vs-parallel identities must hold for each, and (since the two
-/// produce byte-identical TE) the containers themselves must not depend on
-/// which one encoded them.
-class ParallelPipelineSweep : public ::testing::TestWithParam<CodecImpl> {};
+/// Which codec a sweep case runs: the per-trit scalar reference or the
+/// production coder (the word-parallel bitplane path). The printed case
+/// ids carry these byte values.
+enum class Path : unsigned char { kScalar = 1, kBitplane = 2 };
+
+/// The pipeline sweep runs on both (the sharded pipeline takes any Codec):
+/// the serial-vs-parallel identities must hold for each.
+class ParallelPipelineSweep : public ::testing::TestWithParam<Path> {};
+
+std::unique_ptr<Codec> make_codec(Path path, std::size_t k) {
+  if (path == Path::kScalar)
+    return std::make_unique<ReferenceCodec>(NineCoded(k));
+  return std::make_unique<NineCoded>(k);
+}
 
 std::vector<std::size_t> shard_sweep(std::size_t patterns) {
   return {1, 3, 16, patterns};
@@ -52,13 +63,13 @@ TestSet random_cubes(std::uint64_t seed, std::size_t patterns,
 }
 
 TEST_P(ParallelPipelineSweep, EncodeIsBitIdenticalToSerialOnEveryIscasSet) {
-  const NineCoded coder(8, GetParam());
+  const auto codec = make_codec(GetParam(), 8);
   for (const auto& profile : gen::iscas89_profiles()) {
     const TestSet td = gen::calibrated_cubes(profile, /*seed=*/1);
     for (const std::size_t shards : shard_sweep(td.pattern_count())) {
-      const TritVector serial = encode_sharded(coder, td, shards, /*jobs=*/1);
+      const TritVector serial = encode_sharded(*codec, td, shards, /*jobs=*/1);
       for (const std::size_t jobs : kJobSweep) {
-        const TritVector parallel = encode_sharded(coder, td, shards, jobs);
+        const TritVector parallel = encode_sharded(*codec, td, shards, jobs);
         ASSERT_TRUE(parallel == serial)
             << profile.name << " shards=" << shards << " jobs=" << jobs;
       }
@@ -67,16 +78,16 @@ TEST_P(ParallelPipelineSweep, EncodeIsBitIdenticalToSerialOnEveryIscasSet) {
 }
 
 TEST_P(ParallelPipelineSweep, DecodeReproducesSerialDecodeExactly) {
-  const NineCoded coder(8, GetParam());
+  const auto codec = make_codec(GetParam(), 8);
   for (const auto& profile : gen::iscas89_profiles()) {
     const TestSet td = gen::calibrated_cubes(profile, /*seed=*/2);
     for (const std::size_t shards : shard_sweep(td.pattern_count())) {
-      const TritVector container = encode_sharded(coder, td, shards);
-      const TestSet serial = decode_sharded(coder, container, /*jobs=*/1);
+      const TritVector container = encode_sharded(*codec, td, shards);
+      const TestSet serial = decode_sharded(*codec, container, /*jobs=*/1);
       // The decode is a legal expansion of the cubes (the 9C contract).
       ASSERT_TRUE(td.flatten().covered_by(serial.flatten())) << profile.name;
       for (const std::size_t jobs : kJobSweep) {
-        const TestSet parallel = decode_sharded(coder, container, jobs);
+        const TestSet parallel = decode_sharded(*codec, container, jobs);
         ASSERT_TRUE(parallel == serial)
             << profile.name << " shards=" << shards << " jobs=" << jobs;
       }
@@ -91,17 +102,17 @@ TEST_P(ParallelPipelineSweep, RandomizedCubeSetsRoundTripAtEveryShardCount) {
     const std::size_t width = 1 + rng() % 90;
     const double density = (trial % 4) * 0.3;
     const TestSet td = random_cubes(rng(), patterns, width, density);
-    const NineCoded coder(trial % 2 == 0 ? 8 : 4, GetParam());
+    const auto codec = make_codec(GetParam(), trial % 2 == 0 ? 8 : 4);
     for (const std::size_t shards : shard_sweep(patterns)) {
-      const TritVector serial = encode_sharded(coder, td, shards, 1);
+      const TritVector serial = encode_sharded(*codec, td, shards, 1);
       for (const std::size_t jobs : kJobSweep)
-        ASSERT_TRUE(encode_sharded(coder, td, shards, jobs) == serial)
+        ASSERT_TRUE(encode_sharded(*codec, td, shards, jobs) == serial)
             << "trial " << trial << " shards=" << shards << " jobs=" << jobs;
-      const TestSet back = decode_sharded(coder, serial, 4);
+      const TestSet back = decode_sharded(*codec, serial, 4);
       ASSERT_EQ(back.pattern_count(), patterns);
       ASSERT_EQ(back.pattern_length(), width);
       ASSERT_TRUE(td.flatten().covered_by(back.flatten()));
-      ASSERT_TRUE(back == decode_sharded(coder, serial, 1));
+      ASSERT_TRUE(back == decode_sharded(*codec, serial, 1));
     }
   }
 }
@@ -109,11 +120,11 @@ TEST_P(ParallelPipelineSweep, RandomizedCubeSetsRoundTripAtEveryShardCount) {
 TEST_P(ParallelPipelineSweep, OneShardPayloadEqualsPlainCodecStream) {
   // Index stripping on a 1-shard container must yield exactly the serial
   // codec.encode() of the whole flattened set -- same padding, same bits.
-  const NineCoded coder(8, GetParam());
+  const auto codec = make_codec(GetParam(), 8);
   for (const auto& profile : gen::iscas89_profiles()) {
     const TestSet td = gen::calibrated_cubes(profile, /*seed=*/3);
-    const TritVector container = encode_sharded(coder, td, /*shards=*/1, 4);
-    ASSERT_TRUE(strip_shard_index(container) == coder.encode(td.flatten()))
+    const TritVector container = encode_sharded(*codec, td, /*shards=*/1, 4);
+    ASSERT_TRUE(strip_shard_index(container) == codec->encode(td.flatten()))
         << profile.name;
   }
 }
@@ -121,13 +132,13 @@ TEST_P(ParallelPipelineSweep, OneShardPayloadEqualsPlainCodecStream) {
 TEST_P(ParallelPipelineSweep, ContainersAreDeterministicAcrossRunsAndThreadCounts) {
   // Same input + same shard count -> byte-identical container, across
   // repeated runs and every thread count (no iteration-order leakage).
-  const NineCoded coder(8, GetParam());
+  const auto codec = make_codec(GetParam(), 8);
   const TestSet td = random_cubes(99, 33, 120, 0.6);
-  const TritVector reference = encode_sharded(coder, td, 5, 1);
+  const TritVector reference = encode_sharded(*codec, td, 5, 1);
   for (int run = 0; run < 3; ++run)
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{2},
                                    std::size_t{3}, std::size_t{8}})
-      ASSERT_TRUE(encode_sharded(coder, td, 5, jobs) == reference)
+      ASSERT_TRUE(encode_sharded(*codec, td, 5, jobs) == reference)
           << "run " << run << " jobs " << jobs;
 }
 
@@ -154,14 +165,14 @@ TEST(ParallelPipeline, ShardPlanIsBalancedAndPatternAligned) {
 }
 
 TEST_P(ParallelPipelineSweep, EmptyAndSinglePatternSetsSurvive) {
-  const NineCoded coder(4, GetParam());
+  const auto codec = make_codec(GetParam(), 4);
   const TestSet empty;
-  const TritVector c0 = encode_sharded(coder, empty, 4, 4);
-  EXPECT_EQ(decode_sharded(coder, c0, 4).pattern_count(), 0u);
+  const TritVector c0 = encode_sharded(*codec, empty, 4, 4);
+  EXPECT_EQ(decode_sharded(*codec, c0, 4).pattern_count(), 0u);
 
   const TestSet one = random_cubes(5, 1, 17, 0.5);
-  const TritVector c1 = encode_sharded(coder, one, 16, 8);
-  const TestSet back = decode_sharded(coder, c1, 8);
+  const TritVector c1 = encode_sharded(*codec, one, 16, 8);
+  const TestSet back = decode_sharded(*codec, c1, 8);
   EXPECT_TRUE(one.flatten().covered_by(back.flatten()));
 }
 
@@ -178,10 +189,9 @@ struct SessionFixture {
   }
 };
 
-TEST_P(ParallelPipelineSweep, PipelinedSessionMatchesSerialSession) {
+TEST(ParallelPipeline, PipelinedSessionMatchesSerialSession) {
   SessionFixture fx;
   decomp::SessionConfig serial_cfg;
-  serial_cfg.codec_impl = GetParam();
   const decomp::SessionResult serial =
       decomp::run_test_session(fx.netlist, fx.tests, serial_cfg);
 
@@ -189,7 +199,6 @@ TEST_P(ParallelPipelineSweep, PipelinedSessionMatchesSerialSession) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{3},
                                      fx.tests.pattern_count()}) {
       decomp::SessionConfig cfg;
-      cfg.codec_impl = GetParam();
       cfg.jobs = jobs;
       cfg.shards = shards;
       const decomp::SessionResult parallel =
@@ -208,7 +217,7 @@ TEST_P(ParallelPipelineSweep, PipelinedSessionMatchesSerialSession) {
   }
 }
 
-TEST_P(ParallelPipelineSweep, PipelinedSessionDetectsFaultsLikeSerial) {
+TEST(ParallelPipeline, PipelinedSessionDetectsFaultsLikeSerial) {
   // Two guarantees, exercised on faulty devices where the decoded X-fill
   // actually shows up in the verdicts:
   //  1. shards=1 is the serial session: one TE, bit-identical stimulus,
@@ -219,13 +228,11 @@ TEST_P(ParallelPipelineSweep, PipelinedSessionDetectsFaultsLikeSerial) {
   SessionFixture fx;
   for (std::size_t f = 0; f < fx.faults.size(); f += 3) {
     decomp::SessionConfig serial_cfg;
-    serial_cfg.codec_impl = GetParam();
     const decomp::SessionResult serial =
         decomp::run_test_session(fx.netlist, fx.tests, serial_cfg,
                                  fx.faults[f]);
 
     decomp::SessionConfig one_shard;
-    one_shard.codec_impl = GetParam();
     one_shard.jobs = 8;
     one_shard.shards = 1;
     const decomp::SessionResult single = decomp::run_test_session(
@@ -235,7 +242,6 @@ TEST_P(ParallelPipelineSweep, PipelinedSessionDetectsFaultsLikeSerial) {
     EXPECT_EQ(single.ate_bits, serial.ate_bits);
 
     decomp::SessionConfig sharded_ref;
-    sharded_ref.codec_impl = GetParam();
     sharded_ref.jobs = 1;
     sharded_ref.shards = 3;
     const decomp::SessionResult reference = decomp::run_test_session(
@@ -259,40 +265,24 @@ TEST_P(ParallelPipelineSweep, PipelinedSessionDetectsFaultsLikeSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothImpls, ParallelPipelineSweep,
-                         ::testing::Values(CodecImpl::kScalar,
-                                           CodecImpl::kBitplane),
-                         [](const ::testing::TestParamInfo<CodecImpl>& info) {
-                           return to_string(info.param);
+                         ::testing::Values(Path::kScalar, Path::kBitplane),
+                         [](const ::testing::TestParamInfo<Path>& info) {
+                           return info.param == Path::kScalar ? "scalar"
+                                                              : "bitplane";
                          });
 
-// Implementation invariance of the artifacts themselves: a container (and
-// a session's full accounting) must not depend on which codec impl
-// produced it, across thread counts.
-TEST(ParallelPipeline, ContainersAndSessionsAreImplInvariant) {
+// The containers themselves must not depend on which path encoded them:
+// the production coder's container equals the reference's, across shard
+// and thread counts.
+TEST(ParallelPipeline, ContainersMatchReferenceCodec) {
   const TestSet td = random_cubes(4242, 25, 130, 0.7);
-  const NineCoded scalar(8, CodecImpl::kScalar);
-  const NineCoded bitplane(8, CodecImpl::kBitplane);
+  const ReferenceCodec reference{NineCoded(8)};
+  const NineCoded production(8);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{5}})
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}})
-      ASSERT_TRUE(encode_sharded(scalar, td, shards, jobs) ==
-                  encode_sharded(bitplane, td, shards, jobs))
+      ASSERT_TRUE(encode_sharded(reference, td, shards, jobs) ==
+                  encode_sharded(production, td, shards, jobs))
           << "shards=" << shards << " jobs=" << jobs;
-
-  SessionFixture fx;
-  decomp::SessionConfig cfg_s;
-  cfg_s.codec_impl = CodecImpl::kScalar;
-  decomp::SessionConfig cfg_b;
-  cfg_b.codec_impl = CodecImpl::kBitplane;
-  cfg_b.jobs = 4;
-  cfg_b.shards = 3;
-  cfg_s.jobs = 4;
-  cfg_s.shards = 3;
-  const auto rs = decomp::run_test_session(fx.netlist, fx.tests, cfg_s);
-  const auto rb = decomp::run_test_session(fx.netlist, fx.tests, cfg_b);
-  EXPECT_EQ(rs.patterns_applied, rb.patterns_applied);
-  EXPECT_EQ(rs.failing_patterns, rb.failing_patterns);
-  EXPECT_EQ(rs.ate_bits, rb.ate_bits);
-  EXPECT_EQ(rs.soc_cycles, rb.soc_cycles);
 }
 
 }  // namespace

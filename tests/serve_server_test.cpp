@@ -265,6 +265,19 @@ TEST(ServeServerTest, MalformedPayloadAndBadTypeAreTypedErrors) {
   ASSERT_EQ(reply.type, FrameType::kError);
   EXPECT_EQ(parse_error_payload(reply.payload).code, ErrorCode::kBadPayload);
 
+  // A well-formed spec naming K = 2^28: a few dozen request bytes must not
+  // buy K-sized padding and a reply past the client's frame limit. K is
+  // bounded by the coder, so this is a typed refusal before any work.
+  Frame huge_k;
+  huge_k.type = FrameType::kEncodeRequest;
+  huge_k.seq = 3;
+  CodecSpec spec;
+  spec.k = std::size_t{1} << 28;
+  huge_k.payload = to_payload(EncodeRequest{spec, bits::TestSet(1, 4)});
+  reply = client.round_trip(huge_k);
+  ASSERT_EQ(reply.type, FrameType::kError);
+  EXPECT_EQ(parse_error_payload(reply.payload).code, ErrorCode::kBadPayload);
+
   Frame bad_type;
   bad_type.type = FrameType::kEncodeReply;  // a reply is not a request
   bad_type.seq = 2;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "codec/nine_coded.h"
+#include "codec/nine_coded_reference.h"
 #include "gen/cube_gen.h"
 #include "serve/frame.h"
 #include "tune/genome.h"
@@ -115,16 +116,14 @@ TEST(GenomeCoder, AsymmetricSplitsDecodeByteIdentically) {
       TuneGenome g;
       g.k = k;
       g.split = split;
-      const codec::NineCoded scalar =
-          g.make_coder(codec::CodecImpl::kScalar);
-      const codec::NineCoded bitplane =
-          g.make_coder(codec::CodecImpl::kBitplane);
+      const codec::NineCoded coder = g.make_coder();
       TritVector te_s, te_b;
-      scalar.analyze(stream, &te_s);
-      bitplane.analyze(stream, &te_b);
+      codec::reference_analyze(coder, stream, &te_s);
+      coder.analyze(stream, &te_b);
       ASSERT_EQ(te_s, te_b) << "K=" << k << " split=" << split;
-      const TritVector back_s = scalar.decode(te_s, stream.size());
-      const TritVector back_b = bitplane.decode(te_b, stream.size());
+      const TritVector back_s =
+          codec::reference_decode_checked(coder, te_s, stream.size()).data;
+      const TritVector back_b = coder.decode(te_b, stream.size());
       ASSERT_EQ(back_s, back_b) << "K=" << k << " split=" << split;
       // Decode restores TD exactly where TD was specified; X positions may
       // come back refined, which the TestSet comparison below tolerates by

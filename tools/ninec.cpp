@@ -184,11 +184,7 @@ using nc::bits::TritVector;
       "             --signature-x sets the response X-overlay density)\n"
       "count options (--devices, --shards, --jobs, --batch, --k, --p, ...)\n"
       "take a positive integer; --shards/--jobs also accept 'auto' (one\n"
-      "shard/worker per hardware thread). Malformed values exit with code 2.\n"
-      "compress/decompress/stats/session/fleet/serve also take\n"
-      "  --codec-impl auto|scalar|bitplane   9C hot-path implementation\n"
-      "(auto = word-parallel bitplane; scalar is the per-trit reference;\n"
-      "both produce byte-identical streams -- see DESIGN.md section 13).\n";
+      "shard/worker per hardware thread). Malformed values exit with code 2.\n";
   std::exit(error.empty() ? 0 : 2);
 }
 
@@ -274,16 +270,6 @@ class Args {
   std::map<std::string, std::string> values_;
 };
 
-/// --codec-impl auto|scalar|bitplane (default auto). Anything else exits 2.
-nc::codec::CodecImpl parse_codec_impl(const Args& args) {
-  const std::string text = args.get("codec-impl", "auto");
-  const auto impl = nc::codec::codec_impl_from_string(text);
-  if (!impl.has_value())
-    usage("--codec-impl expects auto, scalar or bitplane, got '" + text +
-          "'");
-  return *impl;
-}
-
 bool is_text_path(const std::string& path) {
   return path.ends_with(".tests") || path.ends_with(".txt");
 }
@@ -349,8 +335,7 @@ struct LoadedStream {
   bool sharded = false;
 };
 
-LoadedStream load_stream(const std::string& path,
-                         nc::codec::CodecImpl impl = nc::codec::CodecImpl::kAuto) {
+LoadedStream load_stream(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + path);
   char magic[4];
@@ -381,7 +366,7 @@ LoadedStream load_stream(const std::string& path,
   TritVector te = nc::bits::load_trits(in);
   return LoadedStream{
       nc::codec::NineCoded(k, nc::codec::CodewordTable::from_lengths(lengths),
-                           impl, split),
+                           split),
       patterns, width, std::move(te), sharded};
 }
 
@@ -461,7 +446,6 @@ int cmd_roundtrip(const Args& args) {
 
   nc::compact::RoundtripConfig cfg;
   cfg.block_size = args.get_count("k", cfg.block_size);
-  cfg.codec_impl = parse_codec_impl(args);
   cfg.xcode.kind = parse_xcode_kind(args);
   // get_count rejects 0: m = 0 (auto) is spelled by omitting the flag.
   cfg.xcode.outputs = args.get_count("compact-outputs", 0);
@@ -544,7 +528,6 @@ std::string slurp_file(const std::string& path) {
 
 int cmd_compress(const Args& args) {
   const TestSet td = load_tests(args.require("in"));
-  const nc::codec::CodecImpl impl = parse_codec_impl(args);
   if (args.has("table")) {
     // A tuned genome pins K, the lengths, the split and the fill policy;
     // combining it with the knobs it replaces is a contradiction, and the
@@ -555,7 +538,7 @@ int cmd_compress(const Args& args) {
     const nc::tune::TuneGenome genome =
         nc::tune::TuneGenome::from_json(slurp_file(args.require("table")));
     const TestSet filled = genome.apply_fill(td);
-    const nc::codec::NineCoded coder = genome.make_coder(impl);
+    const nc::codec::NineCoded coder = genome.make_coder();
     TritVector te;
     const auto stats = coder.analyze(filled.flatten(), &te);
     save_stream(args.require("out"), coder, filled, te, /*sharded=*/false,
@@ -571,8 +554,8 @@ int cmd_compress(const Args& args) {
   const TritVector stream = td.flatten();
   const nc::codec::NineCoded coder =
       args.has("freq-directed")
-          ? nc::codec::NineCoded::tuned_for(stream, k, impl)
-          : nc::codec::NineCoded(k, impl);
+          ? nc::codec::NineCoded::tuned_for(stream, k)
+          : nc::codec::NineCoded(k);
   if (args.has("shards") || args.has("jobs")) {
     // Sharded container: --shards 0 (or absent) means one shard per job.
     nc::codec::ShardedStats sstats;
@@ -603,8 +586,7 @@ int cmd_decompress(const Args& args) {
   // Validate up front: a bad --jobs must exit 2 even when the input turns
   // out to be a plain (unsharded) stream that decodes serially.
   const std::size_t jobs = args.get_count("jobs", 1, std::size_t{0});
-  const LoadedStream s =
-      load_stream(args.require("in"), parse_codec_impl(args));
+  const LoadedStream s = load_stream(args.require("in"));
   if (s.sharded) {
     const TestSet back = nc::codec::decode_sharded(s.coder, s.te, jobs);
     save_tests(args.require("out"), back);
@@ -626,7 +608,6 @@ int cmd_stats(const Args& args) {
   const TritVector stream = td.flatten();
   const std::size_t k_min = args.get_count("k-min", 4);
   const std::size_t k_max = args.get_count("k-max", 32);
-  const nc::codec::CodecImpl impl = parse_codec_impl(args);
   nc::report::Table table("9C sweep of " + args.get("in") + " (" +
                           std::to_string(stream.size()) + " bits, " +
                           std::to_string(100.0 * stream.x_fraction()) +
@@ -634,7 +615,7 @@ int cmd_stats(const Args& args) {
   table.set_header({"K", "CR%", "LX%", "|TE|"});
   for (std::size_t k = k_min; k <= k_max; k += 4) {
     if (k % 2 != 0) continue;
-    const auto stats = nc::codec::NineCoded(k, impl).analyze(stream);
+    const auto stats = nc::codec::NineCoded(k).analyze(stream);
     table.row()
         .add(k)
         .add(stats.compression_ratio(), 2)
@@ -811,7 +792,6 @@ int cmd_tune(const Args& args) {
   cfg.jobs = args.get_count("jobs", 1,
                             nc::core::ThreadPool::hardware_threads());
   cfg.weights = parse_weights(args);
-  cfg.impl = parse_codec_impl(args);
   cfg.k_min = args.get_count("k-min", cfg.k_min);
   cfg.k_max = args.get_count("k-max", cfg.k_max);
   cfg.baseline_k = args.get_count("baseline-k", cfg.baseline_k);
@@ -904,7 +884,6 @@ int cmd_session(const Args& args) {
   nc::decomp::SessionConfig cfg;
   cfg.block_size = args.get_count("k", 8);
   cfg.p = static_cast<unsigned>(args.get_count("p", 8));
-  cfg.codec_impl = parse_codec_impl(args);
   cfg.jobs = args.get_count("jobs", 1, std::size_t{0});
   cfg.shards = args.get_count("shards", 0, std::size_t{0});
   if (args.has("inject") || args.has("retry") || args.has("abort-after")) {
@@ -954,7 +933,6 @@ int cmd_fleet(const Args& args) {
   nc::decomp::FleetConfig cfg;
   cfg.block_size = args.get_count("k", 8);
   cfg.p = static_cast<unsigned>(args.get_count("p", 8));
-  cfg.codec_impl = parse_codec_impl(args);
   cfg.retry.max_retries = static_cast<unsigned>(args.get_size("retry", 3));
   if (args.has("abort-after"))
     cfg.retry.abort_after = args.get_count("abort-after", 1);
@@ -1026,7 +1004,6 @@ int cmd_fleet(const Args& args) {
 
 int cmd_serve(const Args& args) {
   nc::serve::ServerConfig cfg;
-  cfg.codec_impl = parse_codec_impl(args);
   cfg.worker_threads =
       args.get_count("workers", cfg.worker_threads, std::size_t{0});
   cfg.queue_capacity = args.get_count("queue", cfg.queue_capacity);
