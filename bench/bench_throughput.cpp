@@ -1,5 +1,5 @@
 // Software throughput of the coders (google-benchmark), plus the perf
-// regression gate for the word-parallel bitplane codec. Not a paper table;
+// regression gate for the word-parallel 9C codec. Not a paper table;
 // documents that the encoder is linear-time and fast enough for the
 // multi-Mbit industrial sweeps of Table VIII. Unless the caller passes its
 // own --benchmark_out, results are also written to BENCH_throughput.json.
@@ -20,7 +20,6 @@
 
 #include "baselines/fdr.h"
 #include "baselines/golomb.h"
-#include "bits/bitplane.h"
 #include "codec/nine_coded.h"
 #include "codec/nine_coded_reference.h"
 #include "gen/cube_gen.h"
@@ -90,69 +89,39 @@ void BM_NineCodedAnalyze(benchmark::State& state) {
 }
 BENCHMARK(BM_NineCodedAnalyze);
 
-// --------------------------------------------- scan_half before/after/word
-// The scalar scan_half used to re-derive the packed word and shift for
-// every trit through get(); it now hoists one word load per 32 trits.
-// This local copy of the old body is the "before" so the micro-fix stays
-// measured in the JSON next to the "after" and the word-parallel scan.
-
-// noinline: the library scan_half is an out-of-line call, so the "before"
-// body must be one too -- otherwise this copy fuses into the benchmark
-// loop and the comparison measures inlining, not the word hoist.
-[[gnu::noinline]] nc::codec::HalfScan scan_half_per_trit_get(
-    const nc::bits::TritVector& v, std::size_t begin,
-    std::size_t len) noexcept {
-  nc::codec::HalfScan scan;
-  for (std::size_t i = 0; i < len; ++i) {
-    switch (v.get(begin + i)) {
-      case nc::bits::Trit::Zero: scan.kind.one_compatible = false; break;
-      case nc::bits::Trit::One: scan.kind.zero_compatible = false; break;
-      case nc::bits::Trit::X: ++scan.x_count; break;
-    }
-  }
-  return scan;
-}
+// ------------------------------------------------- half scan: trit vs word
+// The reference encoder classifies a half one trit at a time
+// (codec::scan_half); the production encoder asks TritVector::scan, one
+// AND/OR/popcount per plane word. Both over K=32 halves of the same TD.
 
 constexpr std::size_t kScanHalf = 16;  // K=32 halves
 
-void BM_ScanHalfPerTritGet(benchmark::State& state) {
+template <typename Scan>
+void scan_halves(benchmark::State& state, Scan scan) {
   const auto& td = sample_td();
   for (auto _ : state) {
     std::size_t acc = 0;
     for (std::size_t b = 0; b + kScanHalf <= td.size(); b += kScanHalf)
-      acc += scan_half_per_trit_get(td, b, kScanHalf).x_count;
+      acc += scan(td, b);
     benchmark::DoNotOptimize(acc);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(td.size()) / 8);
 }
-BENCHMARK(BM_ScanHalfPerTritGet);
 
-void BM_ScanHalfHoisted(benchmark::State& state) {
-  const auto& td = sample_td();
-  for (auto _ : state) {
-    std::size_t acc = 0;
-    for (std::size_t b = 0; b + kScanHalf <= td.size(); b += kScanHalf)
-      acc += nc::codec::scan_half(td, b, kScanHalf).x_count;
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(td.size()) / 8);
+void BM_ScanHalfPerTrit(benchmark::State& state) {
+  scan_halves(state, [](const nc::bits::TritVector& td, std::size_t b) {
+    return nc::codec::scan_half(td, b, kScanHalf).x_count;
+  });
 }
-BENCHMARK(BM_ScanHalfHoisted);
+BENCHMARK(BM_ScanHalfPerTrit);
 
-void BM_ScanHalfBitplane(benchmark::State& state) {
-  const nc::bits::Bitplanes planes(sample_td());
-  for (auto _ : state) {
-    std::size_t acc = 0;
-    for (std::size_t b = 0; b + kScanHalf <= planes.size(); b += kScanHalf)
-      acc += nc::codec::scan_half(planes, b, kScanHalf).x_count;
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(planes.size()) / 8);
+void BM_ScanHalfWord(benchmark::State& state) {
+  scan_halves(state, [](const nc::bits::TritVector& td, std::size_t b) {
+    return td.scan(b, kScanHalf).x_count;
+  });
 }
-BENCHMARK(BM_ScanHalfBitplane);
+BENCHMARK(BM_ScanHalfWord);
 
 void BM_FdrEncode(benchmark::State& state) {
   const nc::baselines::Fdr coder;

@@ -1,8 +1,10 @@
 // Sequential readers/writers over bit and trit streams.
 //
 // The run-length baseline coders (Golomb, FDR, ...) produce fully specified
-// bitstreams; BitWriter/BitReader serve those. The 9C stream TE may carry X
-// symbols inside mismatch payloads, so its reader walks a TritVector.
+// bitstreams; BitWriter serves those. The 9C stream TE may carry X symbols
+// inside mismatch payloads, so its reader walks a TritVector: codeword bits
+// one symbol at a time (next_bit), payloads as word-parallel copies of the
+// value/X planes (copy_to).
 #pragma once
 
 #include <cstddef>
@@ -134,11 +136,19 @@ class TritReader {
     return v;
   }
 
+  /// Consumes `n` symbols (X allowed) by appending them to `out` -- the
+  /// decoder's word-parallel payload copy. A short stream throws before
+  /// anything is consumed or appended.
+  void copy_to(TritVector& out, std::size_t n) {
+    if (remaining() < n) throw StreamOverrun(pos_, n, remaining());
+    out.append_range(*v_, pos_, n);
+    pos_ += n;
+  }
+
   /// Reads `n` symbols (X allowed) into a fresh vector.
   TritVector next_trits(std::size_t n) {
-    if (remaining() < n) throw StreamOverrun(pos_, n, remaining());
-    TritVector out = v_->slice(pos_, n);
-    pos_ += n;
+    TritVector out;
+    copy_to(out, n);
     return out;
   }
 

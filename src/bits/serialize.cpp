@@ -1,5 +1,6 @@
 #include "bits/serialize.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <fstream>
@@ -31,32 +32,71 @@ std::uint64_t read_u64(std::istream& in) {
   return v;
 }
 
+/// Spreads the low 4 bits of `n` onto the even bits of a byte.
+constexpr unsigned spread4(unsigned n) noexcept {
+  return (n & 1u) | ((n & 2u) << 1) | ((n & 4u) << 2) | ((n & 8u) << 3);
+}
+
+/// Gathers the even bits of a byte into a nibble (inverse of spread4).
+constexpr unsigned gather4(unsigned b) noexcept {
+  return (b & 1u) | ((b >> 1) & 2u) | ((b >> 2) & 4u) | ((b >> 3) & 8u);
+}
+
+// The payload streams through a fixed buffer, one plane word (64 trits,
+// 16 bytes) at a time: a byte's four 2-bit codes are a nibble of the value
+// plane on the even bits and the same nibble of the X plane on the odd bits.
+constexpr std::size_t kChunkBytes = 4096;
+
 void write_payload(std::ostream& out, const TritVector& v) {
-  unsigned char byte = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    byte |= static_cast<unsigned char>(v.get(i)) << ((i % 4) * 2);
-    if (i % 4 == 3) {
-      out.put(static_cast<char>(byte));
-      byte = 0;
+  std::array<char, kChunkBytes> buf;
+  std::size_t used = 0;
+  for (std::size_t base = 0; base < v.size(); base += 64) {
+    const unsigned n =
+        static_cast<unsigned>(std::min<std::size_t>(v.size() - base, 64));
+    const TritVector::PlaneWord w = v.word_at(base, n);
+    for (unsigned j = 0; j < n; j += 4)
+      buf[used++] = static_cast<char>(spread4((w.value >> j) & 0xFu) |
+                                      (spread4((w.x >> j) & 0xFu) << 1));
+    if (used + 16 > buf.size()) {
+      out.write(buf.data(), static_cast<std::streamsize>(used));
+      used = 0;
     }
   }
-  if (v.size() % 4 != 0) out.put(static_cast<char>(byte));
+  out.write(buf.data(), static_cast<std::streamsize>(used));
 }
 
 TritVector read_payload(std::istream& in, std::size_t size) {
-  // Grow as bytes arrive rather than allocating `size` upfront: a corrupt
-  // header claiming petabytes then fails on the first missing byte instead
-  // of exhausting memory.
+  // Grow as bytes arrive, one bounded chunk at a time, rather than
+  // allocating `size` upfront: a corrupt header claiming petabytes then
+  // fails on the first missing byte instead of exhausting memory.
   TritVector v;
-  int byte = 0;
-  for (std::size_t i = 0; i < size; ++i) {
-    if (i % 4 == 0) {
-      byte = in.get();
-      if (byte == EOF) throw std::runtime_error("trit stream file truncated");
+  std::array<char, kChunkBytes> buf;
+  for (std::size_t left = size; left > 0;) {
+    const std::size_t trits = std::min(left, kChunkBytes * 4);
+    const std::size_t bytes = (trits + 3) / 4;
+    in.read(buf.data(), static_cast<std::streamsize>(bytes));
+    if (static_cast<std::size_t>(in.gcount()) != bytes)
+      throw std::runtime_error("trit stream file truncated");
+    for (std::size_t b = 0; b < bytes; b += 16) {
+      const unsigned n =
+          static_cast<unsigned>(std::min<std::size_t>(trits - b * 4, 64));
+      std::uint64_t value = 0;
+      std::uint64_t x = 0;
+      for (unsigned j = 0; j * 4 < n; ++j) {
+        const unsigned byte = static_cast<unsigned char>(buf[b + j]);
+        value |= std::uint64_t{gather4(byte)} << (4 * j);
+        x |= std::uint64_t{gather4(byte >> 1)} << (4 * j);
+      }
+      // Codes past `size` in a partial last byte are padding and ignored.
+      const std::uint64_t mask =
+          n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+      value &= mask;
+      x &= mask;
+      if ((value & x) != 0)  // code 0b11
+        throw std::runtime_error("invalid trit in stream file");
+      v.append_word(value, x, n);
     }
-    const unsigned raw = (static_cast<unsigned>(byte) >> ((i % 4) * 2)) & 0x3u;
-    if (raw > 2) throw std::runtime_error("invalid trit in stream file");
-    v.push_back(static_cast<Trit>(raw));
+    left -= trits;
   }
   return v;
 }

@@ -9,7 +9,8 @@
 //   kind 1: u64 patterns, u64 width   | ceil(patterns*width/4) payload bytes
 //
 // Each payload byte holds trits at offsets 0..3, two bits each, value
-// 0b00 = '0', 0b01 = '1', 0b10 = 'X'; 0b11 is invalid and rejected.
+// 0b00 = '0', 0b01 = '1', 0b10 = 'X'; 0b11 is invalid and rejected (codes in the
+// unused tail of a partial last byte are ignored).
 #pragma once
 
 #include <iosfwd>

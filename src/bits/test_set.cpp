@@ -30,19 +30,13 @@ TestSet TestSet::parse(std::istream& in) {
     line = line.substr(first, last - first + 1);
 
     TritVector row;
-    row.resize(line.size(), Trit::Zero);
-    for (std::size_t i = 0; i < line.size(); ++i) {
-      const char c = line[i];
-      switch (c) {
-        case '0': row.set(i, Trit::Zero); break;
-        case '1': row.set(i, Trit::One); break;
-        case 'x':
-        case 'X': row.set(i, Trit::X); break;
-        default:
-          throw ParseError(lineno, first + i + 1,
-                           std::string("invalid character '") + c +
-                               "' (want 0/1/X)");
-      }
+    try {
+      row = TritVector::from_string(line);
+    } catch (const std::invalid_argument&) {
+      const std::size_t bad = line.find_first_not_of("01xX");
+      throw ParseError(lineno, first + bad + 1,
+                       std::string("invalid character '") + line[bad] +
+                           "' (want 0/1/X)");
     }
     if (ts.pattern_count() > 0 && row.size() != ts.pattern_length())
       throw ParseError(lineno, first + 1,

@@ -13,8 +13,10 @@
 
 namespace nc::bits {
 
-/// One three-valued symbol. The numeric values are chosen so that a trit
-/// packs into two bits and `Zero`/`One` match their bit value.
+/// One three-valued symbol. The numeric value's bit 0 is the trit's
+/// value-plane bit and bit 1 its X-plane bit (bits/trit_vector.h), so
+/// `Zero`/`One` match their bit value and the serialized 2-bit code is the
+/// enum value.
 enum class Trit : std::uint8_t {
   Zero = 0,
   One = 1,

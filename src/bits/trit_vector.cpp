@@ -1,63 +1,56 @@
 #include "bits/trit_vector.h"
 
-#include <algorithm>
-#include <bit>
-
 namespace nc::bits {
 
 TritVector TritVector::from_string(std::string_view s) {
+  // Fills one plane word per 64 characters, then appends it whole.
   TritVector v;
-  v.resize(s.size(), Trit::Zero);
-  for (std::size_t i = 0; i < s.size(); ++i) v.set(i, trit_from_char(s[i]));
+  v.reserve(s.size());
+  for (std::size_t base = 0; base < s.size(); base += 64) {
+    const unsigned n =
+        static_cast<unsigned>(std::min<std::size_t>(s.size() - base, 64));
+    Word value = 0;
+    Word x = 0;
+    for (unsigned j = 0; j < n; ++j) {
+      switch (s[base + j]) {
+        case '0': break;
+        case '1': value |= Word{1} << j; break;
+        case 'x':
+        case 'X': x |= Word{1} << j; break;
+        default:
+          throw std::invalid_argument(std::string("not a trit character: '") +
+                                      s[base + j] + "'");
+      }
+    }
+    v.append_word(value, x, n);
+  }
   return v;
 }
 
-void TritVector::append(const TritVector& other) {
-  if (&other == this) {  // self-append would read words being reallocated
-    const TritVector copy = other;
-    append(copy);
+void TritVector::append_range(const TritVector& src, std::size_t begin,
+                              std::size_t len) {
+  if (&src == this) {  // appending would move the words being read
+    const TritVector copy = src;
+    append_range(copy, begin, len);
     return;
   }
-  if (other.size_ == 0) return;
-  // Word-parallel shifted copy of the packed 2-bit representation. The
-  // bit offset is even (trit-aligned), the source tail past other.size()
-  // is zero, and this vector's tail is zero, so plain OR merges cleanly.
-  const std::size_t dst_bit = size_ * 2;
-  words_.resize((size_ + other.size_ + 31) / 32, 0);
-  size_ += other.size_;
-  const std::size_t w = dst_bit >> 6;
-  const unsigned off = dst_bit & 63;
-  if (off == 0) {
-    for (std::size_t i = 0; i < other.words_.size(); ++i)
-      words_[w + i] = other.words_[i];
-  } else {
-    for (std::size_t i = 0; i < other.words_.size(); ++i) {
-      words_[w + i] |= other.words_[i] << off;
-      if (w + i + 1 < words_.size())
-        words_[w + i + 1] |= other.words_[i] >> (64 - off);
-    }
+  grow_for(len);
+  if (((size_ | begin) & 63) == 0) {
+    const std::size_t whole = len / 64;
+    const auto first =
+        src.words_.begin() + static_cast<std::ptrdiff_t>(begin / 64);
+    words_.insert(words_.end(), first,
+                  first + static_cast<std::ptrdiff_t>(whole));
+    size_ += whole * 64;
+    begin += whole * 64;
+    len -= whole * 64;
   }
-}
-
-void TritVector::append_run(std::size_t n, Trit t) {
-  if (n == 0) return;
-  // New words arrive zeroed and the old tail is zero, so only non-Zero
-  // fills need bits OR-ed in; the fill patterns repeat with period 2 bits,
-  // matching any even (trit-aligned) offset.
-  words_.resize((size_ + n + 31) / 32, 0);
-  std::size_t pos = size_ * 2;
-  const std::size_t end_bit = (size_ + n) * 2;
-  size_ += n;
-  if (t == Trit::Zero) return;
-  const Word pattern =
-      t == Trit::One ? 0x5555555555555555ull : 0xAAAAAAAAAAAAAAAAull;
-  while (pos < end_bit) {
-    const unsigned off = pos & 63;
-    const std::size_t take = std::min<std::size_t>(end_bit - pos, 64 - off);
-    const Word mask =
-        (take == 64 ? ~Word{0} : (Word{1} << take) - 1) << off;
-    words_[pos >> 6] |= pattern & mask;
-    pos += take;
+  while (len > 0) {
+    const unsigned take = static_cast<unsigned>(std::min<std::size_t>(len, 64));
+    const PlaneWord p = src.word_at(begin, take);
+    append_word(p.value, p.x, take);
+    begin += take;
+    len -= take;
   }
 }
 
@@ -66,13 +59,13 @@ void TritVector::resize(std::size_t n, Trit fill) {
     append_run(n - size_, fill);
     return;
   }
-  words_.resize((n + 31) / 32);
+  words_.resize((n + 63) / 64);
   size_ = n;
-  if (n % 32 != 0) {
+  if (n % 64 != 0) {
     // Zero the tail of the last word so equality can compare words directly.
-    Word& w = words_.back();
-    const unsigned used = static_cast<unsigned>((n & 31u) * 2);
-    w &= (Word{1} << used) - 1;
+    const Word mask = low_mask(n % 64);
+    words_.back().value &= mask;
+    words_.back().x &= mask;
   }
 }
 
@@ -80,45 +73,16 @@ TritVector TritVector::slice(std::size_t begin, std::size_t len) const {
   TritVector out;
   if (begin >= size_) return out;
   len = std::min(len, size_ - begin);
-  out.size_ = len;
-  out.words_.assign((len + 31) / 32, 0);
-  const std::size_t src_bit = begin * 2;
-  const std::size_t w = src_bit >> 6;
-  const unsigned off = src_bit & 63;
-  for (std::size_t i = 0; i < out.words_.size(); ++i) {
-    Word bits = words_[w + i] >> off;
-    if (off != 0 && w + i + 1 < words_.size())
-      bits |= words_[w + i + 1] << (64 - off);
-    out.words_[i] = bits;
-  }
-  if (len % 32 != 0)
-    out.words_.back() &= (Word{1} << ((len & 31u) * 2)) - 1;
+  out.reserve(len);
+  out.append_range(*this, begin, len);
   return out;
 }
 
-TritVector TritVector::from_packed(std::vector<std::uint64_t> words,
-                                   std::size_t n) {
-  TritVector v;
-  v.words_ = std::move(words);
-  v.words_.resize((n + 31) / 32, 0);
-  v.size_ = n;
-  if (n % 32 != 0)
-    v.words_.back() &= (Word{1} << ((n & 31u) * 2)) - 1;
-  return v;
-}
-
 std::size_t TritVector::care_count() const noexcept {
-  // An X packs as 0b10; a trit is specified iff its high bit is clear.
-  std::size_t cares = 0;
-  constexpr Word kHighBits = 0xAAAAAAAAAAAAAAAAull;
-  for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-    Word highs = words_[wi] & kHighBits;
-    cares += 32 - static_cast<std::size_t>(std::popcount(highs));
-  }
-  // Positions past size() in the last word were zeroed by resize(), so they
-  // were counted as care; subtract them.
-  const std::size_t slack = words_.size() * 32 - size_;
-  return cares - slack;
+  std::size_t xs = 0;
+  for (const PlaneWord& w : words_)
+    xs += static_cast<std::size_t>(std::popcount(w.x));
+  return size_ - xs;
 }
 
 double TritVector::x_fraction() const noexcept {
@@ -128,27 +92,43 @@ double TritVector::x_fraction() const noexcept {
 
 bool TritVector::compatible_with(const TritVector& other) const noexcept {
   if (size_ != other.size_) return false;
-  for (std::size_t i = 0; i < size_; ++i)
-    if (!compatible(get(i), other.get(i))) return false;
+  for (std::size_t i = 0; i < words_.size(); ++i) {
+    const PlaneWord& a = words_[i];
+    const PlaneWord& b = other.words_[i];
+    // A conflict is a specified 1 facing a specified 0, either way round.
+    // The value planes are zero past size(), so the tails never conflict.
+    const Word a_zero = ~(a.value | a.x);
+    const Word b_zero = ~(b.value | b.x);
+    if (((a.value & b_zero) | (b.value & a_zero)) != 0) return false;
+  }
   return true;
 }
 
 bool TritVector::covered_by(const TritVector& other) const noexcept {
   if (size_ != other.size_) return false;
-  for (std::size_t i = 0; i < size_; ++i) {
-    const Trit mine = get(i);
-    if (is_care(mine) && other.get(i) != mine) return false;
+  for (std::size_t i = 0; i < words_.size(); ++i) {
+    const PlaneWord& mine = words_[i];
+    const PlaneWord& theirs = other.words_[i];
+    // Each care trit of *this must be a care trit of `other` with the same
+    // value; past size() both planes are zero, so the tails never fail.
+    if ((~mine.x & (theirs.x | (mine.value ^ theirs.value))) != 0)
+      return false;
   }
   return true;
 }
 
-bool TritVector::operator==(const TritVector& other) const noexcept {
-  return size_ == other.size_ && words_ == other.words_;
-}
-
 std::string TritVector::to_string() const {
+  // Drains one plane word per 64 characters.
   std::string s(size_, '?');
-  for (std::size_t i = 0; i < size_; ++i) s[i] = to_char(get(i));
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    const std::size_t base = w * 64;
+    const unsigned n =
+        static_cast<unsigned>(std::min<std::size_t>(size_ - base, 64));
+    const Word value = words_[w].value;
+    const Word x = words_[w].x;
+    for (unsigned j = 0; j < n; ++j)
+      s[base + j] = "01X"[((value >> j) & 1u) | (((x >> j) & 1u) << 1)];
+  }
   return s;
 }
 

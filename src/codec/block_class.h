@@ -20,7 +20,6 @@
 #include <array>
 #include <cstddef>
 
-#include "bits/bitplane.h"
 #include "bits/trit_vector.h"
 
 namespace nc::codec {
@@ -53,7 +52,8 @@ struct HalfKind {
   bool mismatch() const noexcept { return !zero_compatible && !one_compatible; }
 };
 
-/// Inspects the `len` trits of `v` starting at `begin`.
+/// Inspects the `len` trits of `v` starting at `begin`, one trit at a
+/// time, stopping at the first 0/1 conflict.
 HalfKind classify_half(const bits::TritVector& v, std::size_t begin,
                        std::size_t len) noexcept;
 
@@ -67,23 +67,11 @@ struct HalfScan {
   HalfKind kind;
   std::size_t x_count = 0;
 };
+/// The per-trit scan: the reference encoder's classifier. The production
+/// encoder scans with the word-parallel TritVector::scan instead; the
+/// differential fuzz suite holds the two to the same answers.
 HalfScan scan_half(const bits::TritVector& v, std::size_t begin,
                    std::size_t len) noexcept;
-
-/// Word-parallel scan of a half over packed bitplanes: classifies the
-/// whole range with AND/OR/popcount per 64-trit word instead of a
-/// per-trit walk. Must agree with the scalar scan_half on every input
-/// (checked by the differential fuzz suite). Inline so the plane scan
-/// fuses into the encoder's block loop.
-inline HalfScan scan_half(const bits::Bitplanes& planes, std::size_t begin,
-                          std::size_t len) noexcept {
-  const bits::PlaneScan s = planes.scan(begin, len);
-  HalfScan scan;
-  scan.kind.zero_compatible = !s.any_one;
-  scan.kind.one_compatible = !s.any_zero;
-  scan.x_count = s.x_count;
-  return scan;
-}
 
 /// Combines two half kinds into the block case. When several cases apply
 /// (halves of all-X are both 0- and 1-compatible) the cheapest case wins;

@@ -85,10 +85,6 @@ class CodewordTable {
   /// codeword position (InvalidSymbol).
   BlockClass match(bits::TritReader& reader) const;
 
-  /// Same contract over a bitplane stream; raises the identical exception
-  /// sequence so both decoder implementations fail identically.
-  BlockClass match(bits::BitplaneReader& reader) const;
-
   /// True if no codeword is a prefix of another (checked in tests; holds by
   /// construction).
   bool prefix_free() const;

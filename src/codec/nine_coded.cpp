@@ -3,16 +3,27 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <utility>
 
-#include "bits/bitplane.h"
 #include "bits/bitstream.h"
 
 namespace nc::codec {
 
-using bits::Bitplanes;
-using bits::BitplaneReader;
 using bits::Trit;
 using bits::TritVector;
+
+namespace {
+
+/// A word-parallel plane scan read as a half's kind and X population.
+HalfScan half_scan(const bits::PlaneScan& s) noexcept {
+  HalfScan scan;
+  scan.kind.zero_compatible = !s.any_one;
+  scan.kind.one_compatible = !s.any_zero;
+  scan.x_count = s.x_count;
+  return scan;
+}
+
+}  // namespace
 
 std::size_t NineCodedStats::blocks() const noexcept {
   std::size_t n = 0;
@@ -53,10 +64,10 @@ TritVector NineCoded::encode(const TritVector& td) const {
 }
 
 // ----------------------------------------------------------------- encode
-// Word-parallel: TD is de-interleaved once into a value plane and an X
-// plane, each half is classified with AND/OR/popcount on 64-bit words, and
-// codewords/payloads are emitted as shifted word writes. Produces the same
-// TE and statistics as reference_analyze (nine_coded_reference.h).
+// Word-parallel: each half is classified with AND/OR/popcount over TD's
+// value and X planes, and codewords/payloads are emitted as shifted word
+// writes. Produces the same TE and statistics as reference_analyze
+// (nine_coded_reference.h).
 
 NineCodedStats NineCoded::analyze(const TritVector& td,
                                   TritVector* out_stream) const {
@@ -64,11 +75,7 @@ NineCodedStats NineCoded::analyze(const TritVector& td,
   stats.block_size = k_;
   stats.split = left_;
   stats.original_bits = td.size();
-
-  Bitplanes planes(td);
-  if (planes.size() % k_ != 0)
-    planes.append_run(k_ - planes.size() % k_, Trit::X);
-  stats.padded_bits = planes.size();
+  stats.padded_bits = (td.size() + k_ - 1) / k_ * k_;
 
   // Codewords in stream order (first transmitted bit lowest), precomputed
   // once so emission is a single masked word write per block.
@@ -84,11 +91,11 @@ NineCodedStats NineCoded::analyze(const TritVector& td,
     codewords[c].length = w.length;
   }
 
-  Bitplanes stream;
-  stream.reserve(planes.size() / 2);
-  for (std::size_t b = 0; b < planes.size(); b += k_) {
-    const HalfScan left = scan_half(planes, b, left_);
-    const HalfScan right = scan_half(planes, b + left_, right_);
+  TritVector stream;
+  stream.reserve(stats.padded_bits / 2);
+  auto encode_block = [&](const TritVector& src, std::size_t b) {
+    const HalfScan left = half_scan(src.scan(b, left_));
+    const HalfScan right = half_scan(src.scan(b + left_, right_));
     const BlockClass cls = classify_halves(left.kind, right.kind);
     ++stats.counts[static_cast<std::size_t>(cls)];
     const StreamWord& cw = codewords[static_cast<std::size_t>(cls)];
@@ -104,23 +111,33 @@ NineCodedStats NineCoded::analyze(const TritVector& td,
       case BlockClass::kC7:
         stats.filled_x += left.x_count;
         stats.leftover_x += right.x_count;
-        stream.append_range(planes, b + left_, right_);
+        stream.append_range(src, b + left_, right_);
         break;
       case BlockClass::kC6:
       case BlockClass::kC8:
         stats.filled_x += right.x_count;
         stats.leftover_x += left.x_count;
-        stream.append_range(planes, b, left_);
+        stream.append_range(src, b, left_);
         break;
       case BlockClass::kC9:
         stats.leftover_x += left.x_count + right.x_count;
-        stream.append_range(planes, b, k_);
+        stream.append_range(src, b, k_);
         break;
     }
+  };
+  // Whole blocks are read in place; only a ragged last block is copied out
+  // and padded with X, which compresses maximally and which the decoder
+  // drops (it knows the original length).
+  const std::size_t whole = td.size() - td.size() % k_;
+  for (std::size_t b = 0; b < whole; b += k_) encode_block(td, b);
+  if (whole < td.size()) {
+    TritVector last = td.slice(whole, k_);
+    last.append_run(k_ - last.size(), Trit::X);
+    encode_block(last, 0);
   }
 
   stats.encoded_bits = stream.size();
-  if (out_stream != nullptr) *out_stream = stream.to_trits();
+  if (out_stream != nullptr) *out_stream = std::move(stream);
   return stats;
 }
 
@@ -136,9 +153,8 @@ DecodeOutcome NineCoded::decode_checked(const TritVector& te,
                                         core::Watchdog* watchdog) const {
   const std::size_t expected_blocks = (original_bits + k_ - 1) / k_;
   DecodeOutcome outcome;
-  const Bitplanes in(te);
-  BitplaneReader reader(in);
-  Bitplanes out;
+  bits::TritReader reader(te);
+  TritVector& out = outcome.data;
   // Reservation is only a hint and must not trust `original_bits`: a
   // corrupted length header has to surface as the typed truncation error
   // after a bounded parse, not as bad_alloc here. Every block consumes at
@@ -204,8 +220,7 @@ DecodeOutcome NineCoded::decode_checked(const TritVector& te,
                       expected_blocks);
   outcome.blocks = expected_blocks;
   outcome.consumed = reader.position();
-  outcome.data = out.to_trits();
-  outcome.data.resize(original_bits);
+  out.resize(original_bits);  // drop decoder output for the padded tail
   return outcome;
 }
 

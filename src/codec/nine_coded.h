@@ -61,8 +61,9 @@ inline constexpr std::size_t kMaxBlockSize = 255;
 
 /// Fixed-block nine-codeword coder. Stateless and reusable; one instance per
 /// (K, codeword table) configuration. The hot paths are word-parallel over
-/// packed bitplanes (DESIGN.md section 13); the per-trit executable
-/// specification they are tested against lives in nine_coded_reference.h.
+/// TritVector's value and X bitplanes (DESIGN.md section 13); the per-trit
+/// executable specification they are tested against lives in
+/// nine_coded_reference.h.
 class NineCoded final : public Codec {
  public:
   /// `block_size` is K, at most kMaxBlockSize. The default table is the

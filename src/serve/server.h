@@ -17,7 +17,7 @@
 //    frame, never a stall.
 //  * The scheduler thread groups queued requests by CodecSpec -- block size
 //    K plus the codeword table -- and hands each group to the thread pool
-//    as one batch, so the coder construction and the scan_half/
+//    as one batch, so the coder construction and the half-scan/
 //    classify_halves hot path run against a single coder instance per
 //    batch instead of per request.
 //  * Results are cached content-addressed (cache.h): a hit returns the

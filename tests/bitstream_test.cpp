@@ -78,6 +78,36 @@ TEST(TritReader, NextTritsPastEndThrows) {
   EXPECT_THROW(r.next_trits(3), std::out_of_range);
 }
 
+TEST(TritReader, CopyToErrorOffsets) {
+  const TritVector v = TritVector::from_string("10X10");
+  TritReader r(v);
+  EXPECT_TRUE(r.next_bit());
+  EXPECT_FALSE(r.next_bit());
+  // The X sits at absolute offset 2; InvalidSymbol must carry exactly that.
+  try {
+    r.next_bit();
+    FAIL() << "X in codeword position not detected";
+  } catch (const InvalidSymbol& e) {
+    EXPECT_EQ(e.offset(), 2u);
+  }
+  // next_bit consumed the X, so a 3-symbol copy from position 3 overruns:
+  // offset 3, requested 3, have 2 -- and consumes and appends nothing.
+  TritVector out;
+  try {
+    r.copy_to(out, 3);
+    FAIL() << "overrun not detected";
+  } catch (const StreamOverrun& e) {
+    EXPECT_EQ(e.offset(), 3u);
+    EXPECT_EQ(e.requested(), 3u);
+    EXPECT_EQ(e.available(), 2u);
+  }
+  EXPECT_EQ(r.position(), 3u);
+  EXPECT_TRUE(out.empty());
+  r.copy_to(out, 2);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(out.to_string(), "10");
+}
+
 TEST(TritReader, SeekMovesBothDirections) {
   const TritVector v = TritVector::from_string("01X10110");
   TritReader r(v);

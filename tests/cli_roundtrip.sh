@@ -61,6 +61,15 @@ expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --shards abc
 expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --shards 0
 expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --jobs -3
 expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --k 0
+# A flag the subcommand does not read -- a typo, or the removed codec
+# selector -- is refused before any work, never silently ignored.
+expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --kk 9
+expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" \
+  --codec-impl scalar
+grep -q "unknown option --codec-impl" "$DIR/err.txt"
+test ! -e "$DIR/x.9c"
+expect_usage_error decompress --in "$DIR/te.9c" --out "$DIR/x.tests" --k 8
+expect_usage_error store stats --dir "$DIR" --bogus
 # K past the one-byte container field is refused (nonzero exit, no file),
 # not truncated into a header that names another K.
 set +e

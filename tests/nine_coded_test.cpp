@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+#include <string>
+
+#include "bits/serialize.h"
+#include "codec/nine_coded_reference.h"
+#include "core/crc.h"
+#include "gen/cube_gen.h"
+#include "gen/profiles.h"
+
 namespace nc::codec {
 namespace {
 
@@ -181,3 +191,54 @@ TEST(NineCoded, EmptyInput) {
 
 }  // namespace
 }  // namespace nc::codec
+
+namespace nc::bits {
+namespace {
+
+// ------------------------------------------------------ pinned TE artifact
+
+// One frozen end-to-end artifact: the s5378-calibrated cube set (seed 1)
+// encoded at K=8 and serialized with save_trits. Pins |TD|, |TE|, the
+// CRC-32 of the serialized bytes and the first bytes of the dump, so any
+// change to cube generation, classification, codeword emission, payload
+// order or serialization shows up as a concrete byte diff -- from the
+// production coder and from the reference, which must both produce it.
+TEST(PinnedArtifact, S5378StreamBytesAreFrozen) {
+  const gen::BenchmarkProfile* s5378 = nullptr;
+  for (const auto& profile : gen::iscas89_profiles())
+    if (profile.name == "s5378") s5378 = &profile;
+  ASSERT_NE(s5378, nullptr);
+  const TestSet td = gen::calibrated_cubes(*s5378, 1);
+  const TritVector flat = td.flatten();
+  ASSERT_EQ(flat.size(), 23754u);
+
+  const codec::NineCoded coder(8);
+  for (const bool reference : {true, false}) {
+    const char* const path = reference ? "reference" : "production";
+    TritVector te;
+    if (reference)
+      codec::reference_analyze(coder, flat, &te);
+    else
+      coder.analyze(flat, &te);
+    EXPECT_EQ(te.size(), 10317u) << path;
+
+    std::ostringstream dump;
+    save_trits(dump, te);
+    const std::string bytes = dump.str();
+    EXPECT_EQ(bytes.size(), 2593u) << path;
+    const std::uint32_t crc = core::crc32(
+        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
+    EXPECT_EQ(crc, 0x780EBDEFu) << path << " actual crc=0x"
+                                << std::hex << crc;
+    // "NCT1", the trit-stream kind byte, and the little-endian symbol
+    // count 10317 = 0x284D.
+    const unsigned char head[8] = {0x4E, 0x43, 0x54, 0x31,
+                                   0x00, 0x4D, 0x28, 0x00};
+    for (std::size_t i = 0; i < sizeof head; ++i)
+      EXPECT_EQ(static_cast<unsigned char>(bytes[i]), head[i])
+          << path << " byte " << i;
+  }
+}
+
+}  // namespace
+}  // namespace nc::bits

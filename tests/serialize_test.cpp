@@ -69,6 +69,48 @@ TEST(Serialize, RejectsInvalidTritEncoding) {
   data[data.size() - 1] = '\xFF';  // 0b11 trits
   std::stringstream bad(data);
   EXPECT_THROW(load_trits(bad), std::runtime_error);
+
+  // Code 0b11 at each of the four positions of a byte, in the first byte,
+  // in a byte straddling the end of the first plane word (trits 64..67)
+  // and in the last whole byte of a 130-trit payload.
+  constexpr std::size_t kHeader = 4 + 1 + 8;
+  const TritVector v(130, Trit::X);
+  std::stringstream full;
+  save_trits(full, v);
+  const std::string good = full.str();
+  for (std::size_t byte : {std::size_t{0}, std::size_t{16}, std::size_t{31}}) {
+    for (unsigned pos = 0; pos < 4; ++pos) {
+      std::string corrupt = good;
+      corrupt[kHeader + byte] = static_cast<char>(
+          static_cast<unsigned char>(corrupt[kHeader + byte]) |
+          (0x3u << (2 * pos)));
+      std::stringstream in(corrupt);
+      EXPECT_THROW(load_trits(in), std::runtime_error)
+          << "byte " << byte << " position " << pos;
+    }
+  }
+
+  // Inside a partial last byte: 130 trits leave trits 128..129 in byte 32.
+  // Code 0b11 on a live trit is rejected; on the padding past the size it
+  // is ignored, as it always has been.
+  for (unsigned pos = 0; pos < 4; ++pos) {
+    std::string corrupt = good;
+    corrupt[kHeader + 32] = static_cast<char>(
+        static_cast<unsigned char>(corrupt[kHeader + 32]) | (0x3u << (2 * pos)));
+    std::stringstream in(corrupt);
+    if (pos < 2) {
+      EXPECT_THROW(load_trits(in), std::runtime_error) << "position " << pos;
+    } else {
+      EXPECT_EQ(load_trits(in), v) << "padding position " << pos;
+    }
+  }
+
+  // A payload cut at every byte boundary is truncated, never a short read.
+  ASSERT_EQ(good.size(), kHeader + 33);
+  for (std::size_t keep = kHeader; keep < good.size(); ++keep) {
+    std::stringstream cut(good.substr(0, keep));
+    EXPECT_THROW(load_trits(cut), std::runtime_error) << "kept " << keep;
+  }
 }
 
 TEST(Serialize, FileHelpersRoundTrip) {

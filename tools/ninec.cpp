@@ -22,6 +22,7 @@
 // codec/sharded.h (magic NC9S on disk): pattern-aligned shards encoded
 // concurrently behind a per-shard offset/length/CRC index, which decompress
 // decodes with --jobs workers. --jobs 0 means one per hardware thread.
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -220,14 +221,19 @@ double parse_ratio(const std::string& key, const std::string& text) {
   }
 }
 
-/// Tiny flag parser: --name value pairs plus boolean switches.
+/// Tiny flag parser: --name value pairs plus boolean switches. Only the
+/// `accepted` flag names may appear; any other --flag (a typo, a removed
+/// option) is a usage error (exit 2), never silently ignored.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  Args(int argc, char** argv, int first,
+       const std::vector<std::string>& accepted) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) usage("unexpected argument: " + key);
       key = key.substr(2);
+      if (std::find(accepted.begin(), accepted.end(), key) == accepted.end())
+        usage("unknown option --" + key);
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0)
         values_[key] = argv[++i];
       else
@@ -1327,6 +1333,54 @@ int cmd_loadgen(const Args& args) {
   return stats.clean() && all_resolved ? 0 : 1;
 }
 
+/// A subcommand and every --flag it reads.
+struct Command {
+  std::string name;
+  int (*run)(const Args&);
+  std::vector<std::string> flags;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"gen", cmd_gen, {"profile", "out", "seed"}},
+      {"circuit", cmd_circuit,
+       {"out", "gates", "inputs", "flops", "outputs", "seed"}},
+      {"atpg", cmd_atpg, {"bench", "out", "no-compact"}},
+      {"roundtrip", cmd_roundtrip,
+       {"bench", "tests", "k", "seed", "xcode", "compact-outputs",
+        "x-density", "jobs", "json", "no-compact"}},
+      {"compress", cmd_compress,
+       {"in", "out", "k", "freq-directed", "table", "shards", "jobs"}},
+      {"decompress", cmd_decompress, {"in", "out", "jobs"}},
+      {"stats", cmd_stats, {"in", "k-min", "k-max"}},
+      {"tune", cmd_tune,
+       {"in", "seed", "generations", "population", "weights", "p", "jobs",
+        "k-min", "k-max", "baseline-k", "no-split", "no-fill", "out", "json",
+        "socket", "repeat", "deadline-ms"}},
+      {"rtl", cmd_rtl, {"out", "k", "freq-directed", "in", "testbench",
+                        "module"}},
+      {"session", cmd_session,
+       {"bench", "tests", "k", "p", "jobs", "shards", "inject", "retry",
+        "abort-after"}},
+      {"fleet", cmd_fleet,
+       {"bench", "tests", "devices", "inject", "checkpoint", "resume",
+        "watchdog-steps", "breaker-threshold", "breaker-probe", "batch",
+        "jobs", "retry", "seed", "k", "p", "abort-after", "stop-after"}},
+      {"serve", cmd_serve,
+       {"socket", "workers", "queue", "inflight", "cache-bytes",
+        "duration-ms", "store", "store-segment-bytes", "store-shards",
+        "store-parity", "store-stripe-bytes", "store-scrub-ms",
+        "request-deadline-ms", "write-deadline-ms", "min-progress-bps",
+        "idle-timeout-ms"}},
+      {"loadgen", cmd_loadgen,
+       {"socket", "clients", "requests", "pipeline", "distinct", "patterns",
+        "width", "seed", "fault-period", "inject", "deadline-ms",
+        "request-deadline-ms", "hedge-after-ms", "retry-budget", "chaos",
+        "json", "signatures", "signature-x"}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1337,7 +1391,7 @@ int main(int argc, char** argv) {
     if (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0)
       usage("store needs an action: ninec store <fsck|stats|compact|scrub>");
     const std::string action = argv[2];
-    const Args store_args(argc, argv, 3);
+    const Args store_args(argc, argv, 3, {"dir", "scan-only", "min-garbage"});
     try {
       return cmd_store(action, store_args);
     } catch (const std::exception& e) {
@@ -1345,25 +1399,16 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const Args args(argc, argv, 2);
-  try {
-    if (command == "gen") return cmd_gen(args);
-    if (command == "circuit") return cmd_circuit(args);
-    if (command == "atpg") return cmd_atpg(args);
-    if (command == "roundtrip") return cmd_roundtrip(args);
-    if (command == "compress") return cmd_compress(args);
-    if (command == "decompress") return cmd_decompress(args);
-    if (command == "stats") return cmd_stats(args);
-    if (command == "tune") return cmd_tune(args);
-    if (command == "rtl") return cmd_rtl(args);
-    if (command == "session") return cmd_session(args);
-    if (command == "fleet") return cmd_fleet(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "loadgen") return cmd_loadgen(args);
-    if (command == "help" || command == "--help") usage();
-    usage("unknown command " + command);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    return 1;
+  if (command == "help" || command == "--help") usage();
+  for (const Command& c : commands()) {
+    if (c.name != command) continue;
+    const Args args(argc, argv, 2, c.flags);
+    try {
+      return c.run(args);
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << e.what() << '\n';
+      return 1;
+    }
   }
+  usage("unknown command " + command);
 }
