@@ -33,6 +33,13 @@ struct TruthCase {
   char expected;
 };
 
+// Prints a case as e.g. "AND(0X)=0". Without this gtest prints the raw
+// bytes, pointers included, so the discovered test names would change from
+// one build to the next.
+void PrintTo(const TruthCase& tc, std::ostream* os) {
+  *os << tc.type << "(" << tc.pattern << ")=" << tc.expected;
+}
+
 class GateTruth : public ::testing::TestWithParam<TruthCase> {};
 
 TEST_P(GateTruth, ThreeValuedSemantics) {
